@@ -16,7 +16,10 @@ the partition's gaps verbatim.
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..circuits.gates import Gate
+from ..core.continuous_router import RoutingError
 from ..hardware.geometry import Site, ZonedArchitecture
 from ..hardware.layout import Layout
 from ..hardware.moves import CollMove, Move
@@ -80,6 +83,36 @@ class _RoutingState:
             raise RuntimeError("isolated atom in fixed array")
         return best
 
+    def _shortest_path(self, source: Site, target: Site) -> list[Site]:
+        """Occupied sites, in order, from ``source`` (exclusive) to the
+        nearest site next to ``target``: a BFS over atom homes with
+        8-neighbour hops that never passes through ``target``."""
+        parent: dict[Site, Site | None] = {source: None}
+        queue = deque([source])
+        while queue:
+            site = queue.popleft()
+            if max(
+                abs(site.col - target.col), abs(site.row - target.row)
+            ) <= 1:
+                path = []
+                while site != source:
+                    path.append(site)
+                    site = parent[site]
+                return path[::-1]
+            for dc in (-1, 0, 1):
+                for dr in (-1, 0, 1):
+                    atom = self.atom_at(site.col + dc, site.row + dr)
+                    if atom is None:
+                        continue
+                    neighbour = self.home[atom]
+                    if neighbour == target or neighbour in parent:
+                        continue
+                    parent[neighbour] = site
+                    queue.append(neighbour)
+        raise RoutingError(
+            f"no chain of occupied sites joins {source} to {target}"
+        )
+
     # -- gate emission -------------------------------------------------------
 
     def physical_1q(self, gate: Gate) -> Gate:
@@ -142,6 +175,11 @@ class _RoutingState:
         """
         logical_a, logical_b = gate.qubits
         swaps = 0
+        # Sites logical_a has held while routing this gate.  Homes never
+        # change and logical_b stays put, so the greedy step is a function
+        # of the current site alone: a revisit means it would cycle
+        # forever, so the route finishes along a shortest chain instead.
+        visited: set[Site] = set()
         while True:
             atom_a = self.logical_to_atom[logical_a]
             atom_b = self.logical_to_atom[logical_b]
@@ -152,7 +190,15 @@ class _RoutingState:
             )
             if distance <= 1:
                 break
+            visited.add(site_a)
             step_site = self._step_toward(site_a, site_b)
+            if step_site in visited:
+                for hop in self._shortest_path(site_a, site_b):
+                    hop_atom = self.atom_at(hop.col, hop.row)
+                    self._emit_swap(atom_a, hop_atom, instructions)
+                    atom_a = hop_atom
+                    swaps += 1
+                break
             step_atom = self.atom_at(step_site.col, step_site.row)
             assert step_atom is not None
             self._emit_swap(atom_a, step_atom, instructions)
